@@ -110,28 +110,31 @@ func (c *resultCache) counters() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// bumpGen advances the instance's mutation generation — called after
-// every successfully committed mutation, whatever path it arrived on
-// (handler, bulk load, replication apply, bootstrap), so cache keys
-// built before and after a mutation never collide.
+// bumpGen advances the instance's mutation generation — called by
+// commit after every durable mutation, whatever path it arrived on
+// (handler, bulk load, replication apply), and by follower bootstrap,
+// so cache keys built before and after a mutation never collide.
 func (inst *Instance) bumpGen() { inst.gen.Add(1) }
 
 // Generation returns the instance's mutation generation (cache-key
-// component; also a cheap "has anything changed" probe for tests).
+// component; also a cheap "has anything changed" probe for tests). A
+// sharded parent never commits itself, so its generation stays 0; its
+// tiles' generations move instead.
 func (inst *Instance) Generation() uint64 { return inst.gen.Load() }
 
 // versionKey renders the generation component of a cache key: the
-// instance's own generation, extended on a sharded parent with the
-// per-tile vector (parent routing bumps the mutated tile, so the
-// vector changes whenever any tile's data does).
+// instance's own generation, or on a sharded parent the per-tile
+// vector (every routed write commits on one tile and bumps that tile's
+// generation, so the vector changes whenever any tile's data does).
 func (inst *Instance) versionKey() string {
 	if len(inst.tiles) == 0 {
 		return strconv.FormatUint(inst.gen.Load(), 10)
 	}
 	var b strings.Builder
-	b.WriteString(strconv.FormatUint(inst.gen.Load(), 10))
-	for _, t := range inst.tiles {
-		b.WriteByte(',')
+	for i, t := range inst.tiles {
+		if i > 0 {
+			b.WriteByte(',')
+		}
 		b.WriteString(strconv.FormatUint(t.gen.Load(), 10))
 	}
 	return b.String()

@@ -7,15 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
-	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/pagefile"
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/wal"
-	"mbrtopo/internal/watch"
 )
 
 // The durable state of an index named N in a data directory:
@@ -39,7 +36,9 @@ import (
 // snapshot over the working file and replays the log, which tolerates
 // a torn tail.
 type durable struct {
-	mu   sync.Mutex
+	// inst is the owning instance; its commitMu guards the fields
+	// below.
+	inst *Instance
 	dir  string
 	name string
 	kind index.Kind
@@ -60,8 +59,7 @@ type durable struct {
 
 	// wake is closed (and replaced) whenever new WAL records become
 	// readable or the log rotates, so replication streamers wait on a
-	// channel instead of polling the file. Lazily created; guarded by
-	// mu.
+	// channel instead of polling the file. Lazily created.
 	wake chan struct{}
 
 	// gacc accumulates group-commit counters of retired WAL
@@ -73,8 +71,8 @@ type durable struct {
 // groupStats returns cumulative group-commit counters across all WAL
 // generations of this index.
 func (d *durable) groupStats() wal.GroupStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.inst.commitMu.Lock()
+	defer d.inst.commitMu.Unlock()
 	gs := d.gacc
 	if d.log != nil {
 		cur := d.log.GroupStats()
@@ -90,7 +88,7 @@ func (d *durable) groupStats() wal.GroupStats {
 
 // waitChLocked returns the channel the next signal will close. A
 // streamer grabs it BEFORE scanning the WAL, so a record flushed
-// between the scan and the wait still wakes it. Caller holds d.mu.
+// between the scan and the wait still wakes it. Caller holds the instance's commitMu.
 func (d *durable) waitChLocked() chan struct{} {
 	if d.wake == nil {
 		d.wake = make(chan struct{})
@@ -99,7 +97,7 @@ func (d *durable) waitChLocked() chan struct{} {
 }
 
 // signalLocked wakes every streamer parked on the current wake channel
-// and installs a fresh one. Caller holds d.mu.
+// and installs a fresh one. Caller holds the instance's commitMu.
 func (d *durable) signalLocked() {
 	if d.wake != nil {
 		close(d.wake)
@@ -107,20 +105,20 @@ func (d *durable) signalLocked() {
 	}
 }
 
-// signal is signalLocked for callers outside the lock (the WAL flush
-// path, which settles tickets after releasing d.mu).
+// signal is signalLocked for callers outside the lock (commit, once
+// its flush has finished).
 func (d *durable) signal() {
-	d.mu.Lock()
+	d.inst.commitMu.Lock()
 	d.signalLocked()
-	d.mu.Unlock()
+	d.inst.commitMu.Unlock()
 }
 
 // position returns the durable position (gen, records since that
 // generation's checkpoint). ok is false while the index has no open
 // log — recovery failed, or a follower shell not yet bootstrapped.
 func (d *durable) position() (gen, seq uint64, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.inst.commitMu.Lock()
+	defer d.inst.commitMu.Unlock()
 	if d.log == nil {
 		return 0, 0, false
 	}
@@ -287,8 +285,8 @@ func (d *durable) removeStaleWALs(keep uint64) {
 }
 
 // checkpoint publishes the current tree state as the new snapshot and
-// rotates the WAL to a fresh generation. Caller holds d.mu. The
-// ordering is crash-safe at every step:
+// rotates the WAL to a fresh generation. Caller holds the instance's
+// commitMu. The ordering is crash-safe at every step:
 //
 //  1. working header gets meta + gen+1, working file fsyncs
 //  2. snapshot is atomically replaced (tmp, fsync, rename, dir fsync)
@@ -356,110 +354,6 @@ func (d *durable) checkpoint(idx index.Index) error {
 	return nil
 }
 
-// apply runs one mutation: tree and WAL reservation under the durable
-// lock (so replay order matches apply order exactly), the WAL flush
-// outside it. The record is on the log — per the fsync policy — before
-// the caller writes its 200, but concurrent mutations on one index
-// share that fsync through the log's group commit instead of
-// serialising on it: while one request waits inside the flush, the
-// next is already applying its tree change and reserving.
-func (d *durable) apply(inst *Instance, op wal.Op, rect geom.Rect, oid uint64) error {
-	d.mu.Lock()
-	if err := d.demoteLocked(inst); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	var err error
-	switch op {
-	case wal.OpInsert:
-		err = inst.Idx.Insert(rect, oid)
-	case wal.OpDelete:
-		err = inst.Idx.Delete(rect, oid)
-	default:
-		err = fmt.Errorf("server: unknown mutation op %v", op)
-	}
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	inst.notifyWatch(op, rect, oid)
-	ticket := d.log.Reserve(wal.Record{Op: op, OID: oid, Rect: rect})
-	cpErr := d.afterReserveLocked(inst, 1)
-	d.mu.Unlock()
-	return d.settle(inst, ticket, cpErr)
-}
-
-// applyBulk inserts a batch as one atomic index mutation and one WAL
-// batch reservation (a single contiguous run, one group-committed
-// flush). Either the whole batch is applied, logged, and acked, or
-// none of it is visible.
-func (d *durable) applyBulk(inst *Instance, recs []rtree.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	if err := d.demoteLocked(inst); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if err := inst.Idx.InsertBatch(recs); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if inst.watchActive() {
-		muts := make([]watch.Mutation, len(recs))
-		for i, r := range recs {
-			muts[i] = watch.Mutation{Op: watch.OpInsert, OID: r.OID, Rect: r.Rect}
-		}
-		inst.watch.Publish(muts...)
-	}
-	wrecs := make([]wal.Record, len(recs))
-	for i, r := range recs {
-		wrecs[i] = wal.Record{Op: wal.OpInsert, OID: r.OID, Rect: r.Rect}
-	}
-	ticket := d.log.Reserve(wrecs...)
-	cpErr := d.afterReserveLocked(inst, len(recs))
-	d.mu.Unlock()
-	return d.settle(inst, ticket, cpErr)
-}
-
-// afterReserveLocked updates WAL counters and runs the automatic
-// checkpoint when the log has grown enough. The checkpoint closes the
-// old log generation, which flushes any reservation still pending on
-// it, so tickets taken before the rotation resolve normally. Caller
-// holds d.mu.
-func (d *durable) afterReserveLocked(inst *Instance, n int) error {
-	if d.metrics != nil {
-		d.metrics.walRecords.Add(uint64(n))
-	}
-	d.since += n
-	if d.every > 0 && d.since >= d.every {
-		return d.checkpoint(inst.Idx)
-	}
-	return nil
-}
-
-// demoteLocked switches a flat-booted instance's read path over to the
-// paged working tree before the first mutation is applied: the flat
-// snapshot is immutable and would silently go stale. The caller holds
-// d.mu, which the background reconstruction held for its whole run, so
-// the working tree (when reconstruction succeeded) is complete and
-// identical to the flat snapshot here. No-op for instances already
-// reading from the working tree.
-func (d *durable) demoteLocked(inst *Instance) error {
-	v := inst.view.Load()
-	if v == nil || v.idx == inst.Idx {
-		return nil
-	}
-	if inst.Idx == nil {
-		return fmt.Errorf("server: index %q has no working tree (reconstruction failed: %s)",
-			inst.Name, inst.FailReason())
-	}
-	inst.Proc = &query.Processor{Idx: inst.Idx}
-	inst.view.Store(&readView{idx: inst.Idx, proc: inst.Proc, pool: inst.Pool})
-	return nil
-}
-
 // WaitReconstructed blocks until a flat-booted instance has finished
 // rebuilding its paged working copy in the background (no-op for every
 // other boot path). Tests and benchmarks use it to observe the steady
@@ -471,28 +365,9 @@ func (inst *Instance) WaitReconstructed() {
 	if inst.dur == nil {
 		return
 	}
-	inst.dur.mu.Lock()
+	inst.commitMu.Lock()
 	//lint:ignore SA2001 the critical section is the wait itself
-	inst.dur.mu.Unlock()
-}
-
-// settle waits for the WAL flush and folds in a checkpoint failure.
-// Both degrade the index to unhealthy: an unlogged mutation violates
-// the durability contract, and a failed checkpoint leaves a log that
-// can only grow.
-func (d *durable) settle(inst *Instance, ticket *wal.Ticket, cpErr error) error {
-	if err := ticket.Wait(); err != nil {
-		inst.MarkUnhealthy("wal append failed: " + err.Error())
-		return fmt.Errorf("server: mutation applied but not logged: %w", err)
-	}
-	// The record (and its whole batch) is on the log file now: wake
-	// replication streamers parked on the wake channel.
-	d.signal()
-	if cpErr != nil {
-		inst.MarkUnhealthy("checkpoint failed: " + cpErr.Error())
-		return fmt.Errorf("server: mutation logged but checkpoint failed: %w", cpErr)
-	}
-	return nil
+	inst.commitMu.Unlock()
 }
 
 // Checkpoint forces a checkpoint now (topod runs one on clean
@@ -510,8 +385,8 @@ func (inst *Instance) Checkpoint() error {
 	if inst.dur == nil {
 		return nil
 	}
-	inst.dur.mu.Lock()
-	defer inst.dur.mu.Unlock()
+	inst.commitMu.Lock()
+	defer inst.commitMu.Unlock()
 	return inst.dur.checkpoint(inst.Idx)
 }
 
@@ -529,8 +404,8 @@ func (inst *Instance) Close() error {
 	if inst.dur == nil {
 		return nil
 	}
-	inst.dur.mu.Lock()
-	defer inst.dur.mu.Unlock()
+	inst.commitMu.Lock()
+	defer inst.commitMu.Unlock()
 	var firstErr error
 	if inst.Healthy() && inst.Idx != nil {
 		firstErr = inst.dur.checkpoint(inst.Idx)
@@ -558,7 +433,9 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 	if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: index %q: %w", spec.Name, err)
 	}
+	inst := &Instance{Name: spec.Name, Kind: spec.Kind, Frames: spec.Frames}
 	d := &durable{
+		inst:    inst,
 		dir:     spec.Dir,
 		name:    spec.Name,
 		kind:    spec.Kind,
@@ -568,7 +445,7 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 		metrics: s.metrics,
 		spec:    spec,
 	}
-	inst := &Instance{Name: spec.Name, Kind: spec.Kind, Frames: spec.Frames, dur: d}
+	inst.dur = d
 	if spec.Follower {
 		// A follower shell: no local state yet — everything (snapshot,
 		// working copy, WAL) arrives through the replication stream's
@@ -644,7 +521,7 @@ func (s *Server) openDurable(spec IndexSpec, items []index.Item) (*Instance, err
 // matches the spec, and the WAL of that generation is quiet (no
 // mutations since the checkpoint that published both files). The paged
 // working copy is then reconstructed in the background while queries
-// are already being answered; the rebuild holds the durable lock for
+// are already being answered; the rebuild holds the writer lock for
 // its whole run, so mutations, manual checkpoints, and Close queue
 // behind it and find the working tree ready. Returns false — leaving
 // no state behind — when the flat file is missing, stale, or corrupt,
@@ -671,9 +548,9 @@ func (s *Server) tryFlatBoot(spec IndexSpec, d *durable, inst *Instance) bool {
 
 	inst.backend = "flat"
 	inst.view.Store(&readView{idx: flat, proc: &query.Processor{Idx: flat}})
-	d.mu.Lock()
+	inst.commitMu.Lock()
 	go func() {
-		defer d.mu.Unlock()
+		defer inst.commitMu.Unlock()
 		s.recoverDurable(spec, d, inst, true)
 	}()
 	return true
@@ -682,7 +559,7 @@ func (s *Server) tryFlatBoot(spec IndexSpec, d *durable, inst *Instance) bool {
 // recoverDurable rebuilds the working state from snapshot + WAL. Any
 // failure marks the instance unhealthy instead of returning an error.
 // locked reports that the caller (the flat boot's background rebuild)
-// already holds d.mu.
+// already holds inst.commitMu.
 func (s *Server) recoverDurable(spec IndexSpec, d *durable, inst *Instance, locked bool) {
 	fail := func(reason string) {
 		inst.MarkUnhealthy(reason)
@@ -742,16 +619,7 @@ func (s *Server) recoverDurable(spec IndexSpec, d *durable, inst *Instance, lock
 	d.log = log
 	d.removeStaleWALs(d.gen)
 	for i, rec := range recs {
-		var err error
-		switch rec.Op {
-		case wal.OpInsert:
-			err = idx.Insert(rec.Rect, rec.OID)
-		case wal.OpDelete:
-			err = idx.Delete(rec.Rect, rec.OID)
-		default:
-			err = fmt.Errorf("unknown op %v", rec.Op)
-		}
-		if err != nil {
+		if err := applyRecord(idx, rec); err != nil {
 			// Replayed records are exactly the mutations that
 			// succeeded before the crash, in order, so a replay
 			// failure means the snapshot and log disagree.
@@ -771,9 +639,9 @@ func (s *Server) recoverDurable(spec IndexSpec, d *durable, inst *Instance, lock
 		if locked {
 			err = d.checkpoint(idx)
 		} else {
-			d.mu.Lock()
+			inst.commitMu.Lock()
 			err = d.checkpoint(idx)
-			d.mu.Unlock()
+			inst.commitMu.Unlock()
 		}
 		if err != nil {
 			fail("post-recovery checkpoint: " + err.Error())

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -234,9 +235,9 @@ func (s *Server) ReplStats() []ReplStat {
 
 // followerTarget adapts one served instance to repl.Target: the
 // follower state machine calls it to bootstrap from a snapshot, apply
-// records, and rotate generations. All mutations run under the durable
-// lock, exactly like the primary's own apply path, so watch
-// notification and read-path swaps behave identically on a replica.
+// records, and rotate generations. Records commit through the
+// primary's own write path, so watch notification and read-path swaps
+// behave identically on a replica.
 type followerTarget struct {
 	s    *Server
 	inst *Instance
@@ -278,8 +279,8 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	}
 	recs := flatRecords(flat, d.kind == index.KindRPlus)
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	inst.commitMu.Lock()
+	defer inst.commitMu.Unlock()
 	if d.log != nil {
 		_ = d.log.Close()
 		d.log = nil
@@ -358,48 +359,28 @@ func (t *followerTarget) Bootstrap(pos repl.Position, snap io.Reader, size int64
 	return nil
 }
 
-// Apply applies one replicated record at pos: tree mutation, watch
-// notification, and local WAL append, exactly like the primary's apply
-// path. A gap or regression in pos — or a mutation the tree rejects,
-// which means replica and primary states diverged — reports
-// repl.ErrOutOfSync so the follower re-bootstraps instead of guessing.
+// Apply commits one replicated record at pos through the primary's
+// own write path (commit), with the position check as its
+// precondition under the writer lock. A gap or regression in pos — or
+// a mutation the tree rejects, which means replica and primary states
+// diverged — reports repl.ErrOutOfSync so the follower re-bootstraps
+// instead of guessing.
 func (t *followerTarget) Apply(pos repl.Position, rec wal.Record) error {
-	inst, d := t.inst, t.inst.dur
-	d.mu.Lock()
-	if d.log == nil {
-		d.mu.Unlock()
-		return fmt.Errorf("server: record before bootstrap: %w", repl.ErrOutOfSync)
+	d := t.inst.dur
+	inSync := func() error {
+		if d.log == nil {
+			return fmt.Errorf("server: record before bootstrap: %w", repl.ErrOutOfSync)
+		}
+		if pos.Gen != d.gen || pos.Seq != uint64(d.since)+1 {
+			return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, repl.ErrOutOfSync)
+		}
+		return nil
 	}
-	if pos.Gen != d.gen || pos.Seq != uint64(d.since)+1 {
-		d.mu.Unlock()
-		return fmt.Errorf("server: record %v does not follow %d/%d: %w", pos, d.gen, d.since, repl.ErrOutOfSync)
+	err := t.inst.commit([]wal.Record{rec}, false, inSync)
+	if err == nil || errors.Is(err, repl.ErrOutOfSync) || errors.Is(err, errNotLogged) {
+		return err
 	}
-	var err error
-	switch rec.Op {
-	case wal.OpInsert:
-		err = inst.Idx.Insert(rec.Rect, rec.OID)
-	case wal.OpDelete:
-		err = inst.Idx.Delete(rec.Rect, rec.OID)
-	default:
-		err = fmt.Errorf("unknown op %v", rec.Op)
-	}
-	if err != nil {
-		d.mu.Unlock()
-		return fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, repl.ErrOutOfSync)
-	}
-	inst.notifyWatch(rec.Op, rec.Rect, rec.OID)
-	inst.bumpGen()
-	ticket := d.log.Reserve(rec)
-	d.since++
-	if d.metrics != nil {
-		d.metrics.walRecords.Add(1)
-	}
-	d.mu.Unlock()
-	if err := ticket.Wait(); err != nil {
-		inst.MarkUnhealthy("wal append failed: " + err.Error())
-		return fmt.Errorf("server: record applied but not logged: %w", err)
-	}
-	return nil
+	return fmt.Errorf("server: applying %s oid %d: %v: %w", rec.Op, rec.OID, err, repl.ErrOutOfSync)
 }
 
 // Rotate mirrors a primary checkpoint: the stream guarantees every
@@ -408,8 +389,8 @@ func (t *followerTarget) Apply(pos repl.Position, rec wal.Record) error {
 // same boundary, and opens the matching new WAL generation.
 func (t *followerTarget) Rotate(newGen uint64) error {
 	inst, d := t.inst, t.inst.dur
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	inst.commitMu.Lock()
+	defer inst.commitMu.Unlock()
 	if d.log == nil || inst.Idx == nil {
 		return fmt.Errorf("server: rotate before bootstrap: %w", repl.ErrOutOfSync)
 	}

@@ -169,6 +169,25 @@ func (h *histogram) observe(d time.Duration) {
 	h.sumNanos.Add(int64(d))
 }
 
+// writeTo renders the histogram's cumulative _bucket series and its
+// _sum and _count samples under name; labels (e.g. `endpoint="query"`,
+// or "" for none) prefix the le label and label _sum and _count.
+func (h *histogram) writeTo(w io.Writer, name, labels string) {
+	bucket, plain := "{", ""
+	if labels != "" {
+		bucket, plain = "{"+labels+",", "{"+labels+"}"
+	}
+	var cum uint64
+	for i, le := range latencyBuckets {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", name, bucket, strconv.FormatFloat(le, 'g', -1, 64), cum)
+	}
+	cum += h.counts[len(latencyBuckets)].Load()
+	fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", name, bucket, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, plain, time.Duration(h.sumNanos.Load()).Seconds())
+	fmt.Fprintf(w, "%s_count%s %d\n", name, plain, h.count.Load())
+}
+
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{endpoints: make(map[string]*endpointMetrics)}
@@ -333,18 +352,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(cw, "# HELP topod_request_duration_seconds Request latency.\n")
 	fmt.Fprintf(cw, "# TYPE topod_request_duration_seconds histogram\n")
 	for _, name := range names {
-		h := &eps[name].latency
-		var cum uint64
-		for i, le := range latencyBuckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(cw, "topod_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				name, strconv.FormatFloat(le, 'g', -1, 64), cum)
-		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		fmt.Fprintf(cw, "topod_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(cw, "topod_request_duration_seconds_sum{endpoint=%q} %g\n",
-			name, time.Duration(h.sumNanos.Load()).Seconds())
-		fmt.Fprintf(cw, "topod_request_duration_seconds_count{endpoint=%q} %d\n", name, h.count.Load())
+		eps[name].latency.writeTo(cw, "topod_request_duration_seconds", fmt.Sprintf("endpoint=%q", name))
 	}
 
 	gauge := func(name, help string, v int64) {
@@ -374,36 +382,12 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	gauge("topod_join_in_flight", "Join requests currently executing.", m.joinInFlight.Load())
 	fmt.Fprintf(cw, "# HELP topod_join_duration_seconds Wall time of /v1/join requests.\n")
 	fmt.Fprintf(cw, "# TYPE topod_join_duration_seconds histogram\n")
-	{
-		h := &m.joinLatency
-		var cum uint64
-		for i, le := range latencyBuckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(cw, "topod_join_duration_seconds_bucket{le=%q} %d\n",
-				strconv.FormatFloat(le, 'g', -1, 64), cum)
-		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		fmt.Fprintf(cw, "topod_join_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(cw, "topod_join_duration_seconds_sum %g\n", time.Duration(h.sumNanos.Load()).Seconds())
-		fmt.Fprintf(cw, "topod_join_duration_seconds_count %d\n", h.count.Load())
-	}
+	m.joinLatency.writeTo(cw, "topod_join_duration_seconds", "")
 	gauge("topod_watch_streams", "Watch streams currently open.", m.watchStreams.Load())
 	counter("topod_watch_rejected_total", "Watch requests shed because the watch slot pool was full (429).", m.watchRejected.Load())
 	fmt.Fprintf(cw, "# HELP topod_watch_notify_duration_seconds Commit-to-notification latency of watch evaluation batches.\n")
 	fmt.Fprintf(cw, "# TYPE topod_watch_notify_duration_seconds histogram\n")
-	{
-		h := &m.watchLatency
-		var cum uint64
-		for i, le := range latencyBuckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(cw, "topod_watch_notify_duration_seconds_bucket{le=%q} %d\n",
-				strconv.FormatFloat(le, 'g', -1, 64), cum)
-		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		fmt.Fprintf(cw, "topod_watch_notify_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(cw, "topod_watch_notify_duration_seconds_sum %g\n", time.Duration(h.sumNanos.Load()).Seconds())
-		fmt.Fprintf(cw, "topod_watch_notify_duration_seconds_count %d\n", h.count.Load())
-	}
+	m.watchLatency.writeTo(cw, "topod_watch_notify_duration_seconds", "")
 	counter("topod_checksum_failures_total", "Pages that failed their CRC32-C check (scrub or serving).", m.checksumFailures.Load())
 	counter("topod_wal_records_total", "Mutations appended to the write-ahead logs by this process.", m.walRecords.Load())
 	counter("topod_wal_replays_total", "WAL records replayed during crash recovery.", m.walReplays.Load())

@@ -61,13 +61,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Snapshot the position (and, for a bootstrap, the tree itself)
-	// atomically with opening the WAL tail: holding d.mu excludes
+	// atomically with opening the WAL tail: holding commitMu excludes
 	// mutations and checkpoints, so the tail's file is the generation
 	// the position names. A flat-boot background rebuild also holds
-	// d.mu for its whole run, which makes inst.Idx safe to use here.
-	d.mu.Lock()
+	// commitMu for its whole run, which makes inst.Idx safe to use here.
+	inst.commitMu.Lock()
 	if inst.Idx == nil {
-		d.mu.Unlock()
+		inst.commitMu.Unlock()
 		writeJSONError(w, http.StatusServiceUnavailable,
 			"index "+inst.Name+" has no working tree: "+inst.FailReason())
 		return
@@ -77,13 +77,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var snap bytes.Buffer
 	if !resume {
 		if err := index.WriteFlat(inst.Idx, &snap, gen); err != nil {
-			d.mu.Unlock()
+			inst.commitMu.Unlock()
 			writeJSONError(w, http.StatusInternalServerError, "snapshotting index: "+err.Error())
 			return
 		}
 	}
 	tail, err := wal.OpenTail(d.walPath(gen))
-	d.mu.Unlock()
+	inst.commitMu.Unlock()
 	if err != nil {
 		writeJSONError(w, http.StatusInternalServerError, "opening wal tail: "+err.Error())
 		return
@@ -165,11 +165,11 @@ func (s *Server) streamRecords(ctx context.Context, inst *Instance, w io.Writer,
 		// between the scan going dry and the wait still closes this
 		// channel, so the wait returns immediately instead of sleeping
 		// a heartbeat interval.
-		d.mu.Lock()
+		inst.commitMu.Lock()
 		liveGen := d.gen
 		liveSeq := uint64(d.since)
 		wake := d.waitChLocked()
-		d.mu.Unlock()
+		inst.commitMu.Unlock()
 		if !inst.Healthy() {
 			return
 		}

@@ -190,24 +190,31 @@ type Instance struct {
 	mu         sync.Mutex // guards failReason
 	failReason string
 
-	// watch is the instance's continuous-query subscription table.
-	// wmu serialises non-durable mutations with watch activation and
-	// publication (durable instances reuse dur.mu for this).
+	// commitMu is the instance's single writer lock: commit applies and
+	// reserves under it, and checkpoints, watch activation and the
+	// durable state in dur (replication, bootstrap, rotation) are
+	// guarded by it too. lastPublish (guarded by
+	// commitMu) is closed once the latest applied commit has run its
+	// publish step; each commit waits on its predecessor's, so watch
+	// batches leave in apply order.
+	commitMu    sync.Mutex
+	lastPublish chan struct{}
+
+	// watch is the continuous-query subscription table (a sharded
+	// parent's, shared by its tiles).
 	watch *watch.Table
-	wmu   sync.Mutex
 
 	// tiles and router are set on a sharded instance (IndexSpec.Shards):
 	// tiles are the unregistered per-tile sub-instances, router the
 	// scatter-gather index.Index the read path serves from. Mutations on
-	// the parent route to one tile under wmu (see shard.go).
+	// the parent pick one tile and commit there (see shard.go).
 	tiles  []*Instance
 	router *shard.Sharded
 
 	// gen counts committed mutations — the invalidation clock of the
-	// result cache (see cache.go). Bumped after every successful
-	// Insert/Delete/InsertBatch, replication apply, and follower
-	// bootstrap; never for checkpoints or read-view swaps, which keep
-	// the logical contents unchanged.
+	// result cache (see cache.go). Bumped by every successful commit
+	// and by follower bootstrap; never for checkpoints or read-view
+	// swaps, which keep the logical contents unchanged.
 	gen atomic.Uint64
 }
 
@@ -311,53 +318,19 @@ func (inst *Instance) Sharded() int { return len(inst.tiles) }
 // Insert stores one rectangle, logging it to the WAL (before the
 // caller acknowledges) when the index is durable.
 func (inst *Instance) Insert(r geom.Rect, oid uint64) error {
-	if err := inst.insert(r, oid); err != nil {
-		return err
-	}
-	inst.bumpGen()
-	return nil
-}
-
-func (inst *Instance) insert(r geom.Rect, oid uint64) error {
 	if len(inst.tiles) > 0 {
-		return inst.shardInsert(r, oid)
+		return inst.tiles[inst.router.Route(r)].Insert(r, oid)
 	}
-	if inst.dur != nil {
-		return inst.dur.apply(inst, wal.OpInsert, r, oid)
-	}
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	if err := inst.Idx.Insert(r, oid); err != nil {
-		return err
-	}
-	inst.notifyWatch(wal.OpInsert, r, oid)
-	return nil
+	return inst.commit([]wal.Record{{Op: wal.OpInsert, OID: oid, Rect: r}}, false, nil)
 }
 
 // Delete removes one rectangle/id entry, logging it to the WAL when
 // the index is durable.
 func (inst *Instance) Delete(r geom.Rect, oid uint64) error {
-	if err := inst.del(r, oid); err != nil {
-		return err
-	}
-	inst.bumpGen()
-	return nil
-}
-
-func (inst *Instance) del(r geom.Rect, oid uint64) error {
 	if len(inst.tiles) > 0 {
 		return inst.shardDelete(r, oid)
 	}
-	if inst.dur != nil {
-		return inst.dur.apply(inst, wal.OpDelete, r, oid)
-	}
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	if err := inst.Idx.Delete(r, oid); err != nil {
-		return err
-	}
-	inst.notifyWatch(wal.OpDelete, r, oid)
-	return nil
+	return inst.commit([]wal.Record{{Op: wal.OpDelete, OID: oid, Rect: r}}, false, nil)
 }
 
 // InsertBatch stores a batch of rectangles as one index mutation —
@@ -365,33 +338,17 @@ func (inst *Instance) del(r geom.Rect, oid uint64) error {
 // on a durable index, one contiguous WAL run with a single
 // group-committed flush.
 func (inst *Instance) InsertBatch(recs []rtree.Record) error {
-	if err := inst.insertBatch(recs); err != nil {
-		return err
-	}
-	inst.bumpGen()
-	return nil
-}
-
-func (inst *Instance) insertBatch(recs []rtree.Record) error {
 	if len(inst.tiles) > 0 {
 		return inst.shardInsertBatch(recs)
 	}
-	if inst.dur != nil {
-		return inst.dur.applyBulk(inst, recs)
+	if len(recs) == 0 {
+		return nil
 	}
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	if err := inst.Idx.InsertBatch(recs); err != nil {
-		return err
+	logged := make([]wal.Record, len(recs))
+	for i, r := range recs {
+		logged[i] = wal.Record{Op: wal.OpInsert, OID: r.OID, Rect: r.Rect}
 	}
-	if inst.watchActive() {
-		muts := make([]watch.Mutation, len(recs))
-		for i, rec := range recs {
-			muts[i] = watch.Mutation{Op: watch.OpInsert, OID: rec.OID, Rect: rec.Rect}
-		}
-		inst.watch.Publish(muts...)
-	}
-	return nil
+	return inst.commit(logged, true, nil)
 }
 
 // Server routes the wire API onto a set of named indexes.
@@ -697,7 +654,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// queryContext applies the request deadline policy: the client's
+// queryTimeout applies the request deadline policy: the client's
 // timeout (capped at MaxTimeout), else DefaultTimeout, else none.
 func (s *Server) queryTimeout(requestedMS int64) time.Duration {
 	switch {

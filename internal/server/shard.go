@@ -12,8 +12,6 @@ import (
 	"mbrtopo/internal/query"
 	"mbrtopo/internal/rtree"
 	"mbrtopo/internal/shard"
-	"mbrtopo/internal/wal"
-	"mbrtopo/internal/watch"
 )
 
 // This file is the serving side of tile sharding: a parent Instance
@@ -22,7 +20,8 @@ import (
 // shared data directory (Name.t<i>.*), recovered independently by the
 // machinery in durable.go, untouched. The parent serves reads through
 // a shard.Sharded router over the tiles' current read views and routes
-// mutations to exactly one tile under its write lock.
+// each mutation to one tile, which commits it; the tiles publish on
+// the parent's watch table.
 
 // tileName names tile i of a sharded index.
 func tileName(name string, i int) string { return fmt.Sprintf("%s.t%d", name, i) }
@@ -124,6 +123,9 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 		parent.view.Store(&readView{idx: parent.router, proc: parent.Proc})
 	}
 	parent.watch = s.newWatchTable(parent)
+	for _, t := range tiles {
+		t.watch = parent.watch
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,27 +140,10 @@ func (s *Server) addSharded(spec IndexSpec, shards int, items []index.Item) (*In
 	return parent, nil
 }
 
-// shardInsert routes one insert to its tile. The parent's write lock
-// serialises routing with other parent-level writers and keeps watch
-// publication in apply order; the tile's own durable path logs and
-// group-commits the record as usual.
-func (inst *Instance) shardInsert(r geom.Rect, oid uint64) error {
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
-	i := inst.router.Route(r)
-	if err := inst.tiles[i].Insert(r, oid); err != nil {
-		return err
-	}
-	inst.notifyWatch(wal.OpInsert, r, oid)
-	return nil
-}
-
 // shardDelete finds the tile holding the entry (tile bounds always
 // cover their members, so only covering tiles are tried) and deletes
 // there.
 func (inst *Instance) shardDelete(r geom.Rect, oid uint64) error {
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
 	for _, t := range inst.tiles {
 		idx := t.ReadIndex()
 		if idx == nil {
@@ -170,7 +155,6 @@ func (inst *Instance) shardDelete(r geom.Rect, oid uint64) error {
 		}
 		switch err := t.Delete(r, oid); {
 		case err == nil:
-			inst.notifyWatch(wal.OpDelete, r, oid)
 			return nil
 		case errors.Is(err, rtree.ErrNotFound):
 			continue
@@ -186,8 +170,6 @@ func (inst *Instance) shardDelete(r geom.Rect, oid uint64) error {
 // shares in parallel — each share is one atomic tile mutation and one
 // WAL group commit on that tile. The batch is not atomic across tiles.
 func (inst *Instance) shardInsertBatch(recs []rtree.Record) error {
-	inst.wmu.Lock()
-	defer inst.wmu.Unlock()
 	parts := inst.router.RouteBatch(recs)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -202,17 +184,7 @@ func (inst *Instance) shardInsertBatch(recs []rtree.Record) error {
 		}(i, part)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	if inst.watchActive() {
-		muts := make([]watch.Mutation, len(recs))
-		for i, rec := range recs {
-			muts[i] = watch.Mutation{Op: watch.OpInsert, OID: rec.OID, Rect: rec.Rect}
-		}
-		inst.watch.Publish(muts...)
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // statInstances expands sharded parents into their tiles for the

@@ -12,7 +12,6 @@ import (
 	"mbrtopo/internal/geom"
 	"mbrtopo/internal/index"
 	"mbrtopo/internal/topo"
-	"mbrtopo/internal/wal"
 	"mbrtopo/internal/watch"
 )
 
@@ -43,36 +42,27 @@ func (inst *Instance) watchActive() bool {
 	return inst.watch != nil && inst.watch.Active()
 }
 
-// notifyWatch mirrors one applied mutation into the watch table. The
-// caller holds the instance's mutation lock (d.mu on durable indexes,
-// wmu otherwise), so publish order matches apply order.
-func (inst *Instance) notifyWatch(op wal.Op, rect geom.Rect, oid uint64) {
-	if !inst.watchActive() {
-		return
-	}
-	wop := watch.OpInsert
-	if op == wal.OpDelete {
-		wop = watch.OpDelete
-	}
-	inst.watch.Publish(watch.Mutation{Op: wop, OID: oid, Rect: rect})
-}
-
 // WatchSubscribe registers a continuous query against the instance.
-// It holds the write path's mutation lock while the subscription table
-// activates, so the seeded shadow and the commit queue together cover
-// every mutation exactly once. On a flat-booted durable index this
-// waits for the background working-copy rebuild (which holds the same
-// lock), like the first mutation does.
+// It holds the writer lock — every tile's, on a sharded instance —
+// and first waits until each commit already applied has published, so
+// the seeded shadow and the commit queue together cover every
+// mutation exactly once. On a flat-booted durable index this waits for
+// the background working-copy rebuild (which holds the same lock),
+// like the first mutation does.
 func (inst *Instance) WatchSubscribe(ref geom.Rect, rels topo.Set, buffer int) (*watch.Subscription, error) {
 	if inst.watch == nil {
 		return nil, fmt.Errorf("server: index %q does not accept watches", inst.Name)
 	}
-	if inst.dur != nil {
-		inst.dur.mu.Lock()
-		defer inst.dur.mu.Unlock()
-	} else {
-		inst.wmu.Lock()
-		defer inst.wmu.Unlock()
+	writers := inst.tiles
+	if len(writers) == 0 {
+		writers = []*Instance{inst}
+	}
+	for _, w := range writers {
+		w.commitMu.Lock()
+		defer w.commitMu.Unlock()
+		if w.lastPublish != nil {
+			<-w.lastPublish
+		}
 	}
 	return inst.watch.Subscribe(ref, rels, buffer)
 }

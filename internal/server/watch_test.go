@@ -173,23 +173,29 @@ func oracleSet(t *testing.T, inst *Instance, sub watchSub) map[uint64]bool {
 // neighbourhood-graph filter demonstrably skipped evaluations.
 func TestWatchDifferential(t *testing.T) {
 	cases := []struct {
-		name    string
-		kind    index.Kind
-		durable bool
+		name     string
+		kind     index.Kind
+		durable  bool
+		inflight bool
 	}{
-		{"rtree", index.KindRTree, false},
-		{"rplus", index.KindRPlus, false},
-		{"rstar", index.KindRStar, false},
-		{"rtree-durable", index.KindRTree, true},
+		{"rtree", index.KindRTree, false, false},
+		{"rplus", index.KindRPlus, false, false},
+		{"rstar", index.KindRStar, false, false},
+		{"rtree-durable", index.KindRTree, true, false},
+		{"rtree-durable-inflight", index.KindRTree, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runWatchDifferential(t, tc.kind, tc.durable)
+			runWatchDifferential(t, tc.kind, tc.durable, tc.inflight)
 		})
 	}
 }
 
-func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
+// runWatchDifferential runs the trace; inflight (durable only) opens
+// the streams while several writers are parked between WAL reserve and
+// flush, so activation races commits that are applied but not yet
+// published.
+func runWatchDifferential(t *testing.T, kind index.Kind, durable, inflight bool) {
 	rng := rand.New(rand.NewSource(7))
 	// A quarter of the objects sit with their x-extent strictly inside
 	// the contains-subscription's reference band, so single-object
@@ -219,10 +225,16 @@ func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
 
 	srv := New(Config{})
 	spec := IndexSpec{Name: "main", Kind: kind}
+	release := make(chan struct{})
 	if durable {
 		spec.Dir = t.TempDir()
 		spec.Fsync = wal.SyncNever
 		spec.CheckpointEvery = 200 // force rotations mid-trace
+	}
+	if inflight {
+		spec.WALWriteHook = func(int64, int) error { <-release; return nil }
+	} else {
+		close(release)
 	}
 	inst, err := srv.AddIndex(spec, items)
 	if err != nil {
@@ -231,6 +243,23 @@ func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
+
+	const parked = 4
+	parkedErrs := make(chan error, parked)
+	if inflight {
+		for j := 0; j < parked; j++ {
+			r, oid := randRect(), nextOID
+			live[oid] = r
+			nextOID++
+			go func() { parkedErrs <- inst.Insert(r, oid) }()
+		}
+		// Applied (so reserved, under the same lock hold) but stuck in
+		// the flush until release.
+		for inst.ReadIndex().Len() < len(items)+parked {
+			time.Sleep(time.Millisecond)
+		}
+		time.AfterFunc(20*time.Millisecond, func() { close(release) })
+	}
 
 	subs := []watchSub{
 		{names: []string{"not_disjoint"}, ref: geom.R(100, 100, 300, 300)},
@@ -252,6 +281,13 @@ func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
 			Ref:       []float64{subs[i].ref.Min.X, subs[i].ref.Min.Y, subs[i].ref.Max.X, subs[i].ref.Max.Y},
 			Buffer:    4096,
 		})
+	}
+	if inflight {
+		for j := 0; j < parked; j++ {
+			if err := <-parkedErrs; err != nil {
+				t.Fatalf("parked insert: %v", err)
+			}
+		}
 	}
 	// The trace has not started, so the index state each stream opened
 	// against is exactly the current state.
@@ -329,8 +365,14 @@ func runWatchDifferential(t *testing.T, kind index.Kind, durable bool) {
 		for _, line := range lines {
 			switch line.Event {
 			case "enter":
+				if got[*line.OID] {
+					t.Errorf("sub %v: doubled enter for member oid %d", subs[i].names, *line.OID)
+				}
 				got[*line.OID] = true
 			case "exit":
+				if !got[*line.OID] {
+					t.Errorf("sub %v: exit for non-member oid %d", subs[i].names, *line.OID)
+				}
 				delete(got, *line.OID)
 			case "change":
 				if !got[*line.OID] {

@@ -298,10 +298,11 @@ func (t *Table) Counters() Counters {
 	}
 }
 
-// Subscribe registers a continuous query. The caller must hold the
-// same lock the index's writers hold across apply+Publish: the first
-// subscription seeds the shadow from the index scan, and only that
-// lock guarantees no commit falls between the scan and the queue.
+// Subscribe registers a continuous query. The first subscription
+// seeds the shadow from the index scan, so the caller must keep
+// writers out and have every commit already applied to the index
+// published before calling: only then does each commit fall either in
+// the scan or in the queue, never both and never neither.
 // buffer sizes the event channel (<=0 → DefaultBuffer); a subscriber
 // that falls that far behind is terminated with reason "lagged".
 func (t *Table) Subscribe(ref geom.Rect, rels topo.Set, buffer int) (*Subscription, error) {
@@ -393,10 +394,9 @@ func (t *Table) endLocked(sub *Subscription, reason string) {
 	}
 }
 
-// Publish hands one applied commit batch to the notifier, taking
-// ownership of muts. Callers invoke it under the lock that serialised
-// the index mutation, so batch order matches apply order; it never
-// blocks on delivery.
+// Publish hands one committed batch to the notifier, taking ownership
+// of muts. Callers publish batches in the order they were applied to
+// the index, once they are durable; Publish never blocks on delivery.
 func (t *Table) Publish(muts ...Mutation) {
 	if len(muts) == 0 || !t.active.Load() {
 		return
