@@ -64,32 +64,21 @@ scan:
 
 	// Step 3: traverse on the retrieved side, filter the other side in
 	// memory on the way out.
-	cands := p.candidateConfigs(getRels)
-	memCands := p.candidateConfigs(memRels)
-	memDom := mbr.DominationFor(memCands)
-	nodePred, leafPred := p.filterPreds(cands, getRef)
-	seen := make(map[uint64]struct{})
+	mem := p.planFor(memRels)
 	emitted := 0
-	ts, err := p.Idx.SearchCtx(ctx, nodePred, leafPred, func(r geom.Rect, oid uint64) bool {
-		if !memDom.Admits(r, memRef) || !memCands.Has(mbr.ConfigOf(r, memRef)) {
+	stats, err := p.streamConfigs(ctx, p.planFor(getRels), getRef, 0, func(m Match) bool {
+		if !mem.leafDom.Admits(m.Rect, memRef) || !mem.cands.Has(mbr.ConfigOf(m.Rect, memRef)) {
 			return true
 		}
-		if _, ok := seen[oid]; ok {
-			return true
-		}
-		seen[oid] = struct{}{}
-		if !yield(Match{OID: oid, Rect: r}) {
+		if !yield(m) {
 			return false
 		}
 		emitted++
 		return limit <= 0 || emitted < limit
 	})
-	stats := Stats{
-		NodeAccesses: ts.NodeAccesses,
-		Candidates:   emitted,
-		Reordered:    plan.reordered,
-		Explain:      appendActual(plan.explain, emitted),
-	}
+	stats.Candidates = emitted
+	stats.Reordered = plan.reordered
+	stats.Explain = appendActual(plan.explain, emitted)
 	if err != nil {
 		return stats, fmt.Errorf("query: stream conjunction: %w", err)
 	}

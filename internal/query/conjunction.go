@@ -79,8 +79,7 @@ func (p *Processor) QueryConjunctionCtx(ctx context.Context, r1 topo.Relation, q
 
 	// Filter through the index on the first relation.
 	firstMBR := firstRef.Bounds()
-	cands := p.candidateConfigs(topo.NewSet(first))
-	matches, stats, err := p.filter(ctx, cands, firstMBR)
+	matches, stats, err := p.filter(ctx, p.planFor(topo.NewSet(first)), firstMBR)
 	if err != nil {
 		return Result{}, err
 	}

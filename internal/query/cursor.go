@@ -33,39 +33,53 @@ func (p *Processor) Stream(ctx context.Context, rels topo.Set, refMBR geom.Rect,
 	if !refMBR.Valid() {
 		return Stats{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
-	return p.streamConfigs(ctx, p.candidateConfigs(rels), refMBR, limit, yield)
+	stats, err := p.streamConfigs(ctx, p.planFor(rels), refMBR, limit, yield)
+	if err != nil {
+		return stats, fmt.Errorf("query: stream: %w", err)
+	}
+	return stats, nil
 }
 
 // StreamConfigs streams the filter step for an explicit admissible
 // configuration set (e.g. a direction relation's candidates, which are
-// exact on MBRs, so streamed matches are final answers).
+// exact on MBRs, so streamed matches are final answers). Its plan is
+// derived live on every call.
 func (p *Processor) StreamConfigs(ctx context.Context, cands mbr.ConfigSet, refMBR geom.Rect, limit int, yield func(Match) bool) (Stats, error) {
 	if !refMBR.Valid() {
 		return Stats{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
-	return p.streamConfigs(ctx, cands, refMBR, limit, yield)
+	stats, err := p.streamConfigs(ctx, newFilterPlan(cands), refMBR, limit, yield)
+	if err != nil {
+		return stats, fmt.Errorf("query: stream: %w", err)
+	}
+	return stats, nil
 }
 
-func (p *Processor) streamConfigs(ctx context.Context, cands mbr.ConfigSet, refMBR geom.Rect, limit int, yield func(Match) bool) (Stats, error) {
-	nodePred, leafPred := p.filterPreds(cands, refMBR)
-	seen := make(map[uint64]struct{})
+// streamConfigs is the one traversal of steps 2 and 3 behind every
+// filter-step entry point. Only an index whose node rectangles do not
+// cover their entries (R+ clipping) can emit one object several
+// times, so only there is a dedup set kept.
+func (p *Processor) streamConfigs(ctx context.Context, pl *filterPlan, refMBR geom.Rect, limit int, yield func(Match) bool) (Stats, error) {
+	nodePred, leafPred := p.filterPreds(pl, refMBR)
+	var seen map[uint64]struct{}
+	if !p.Idx.CoveringNodeRects() {
+		seen = make(map[uint64]struct{})
+	}
 	emitted := 0
 	ts, err := p.Idx.SearchCtx(ctx, nodePred, leafPred, func(r geom.Rect, oid uint64) bool {
-		if _, ok := seen[oid]; ok {
-			return true
+		if seen != nil {
+			if _, ok := seen[oid]; ok {
+				return true
+			}
+			seen[oid] = struct{}{}
 		}
-		seen[oid] = struct{}{}
 		if !yield(Match{OID: oid, Rect: r}) {
 			return false
 		}
 		emitted++
 		return limit <= 0 || emitted < limit
 	})
-	stats := Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted}
-	if err != nil {
-		return stats, fmt.Errorf("query: stream: %w", err)
-	}
-	return stats, nil
+	return Stats{NodeAccesses: ts.NodeAccesses, Candidates: emitted}, err
 }
 
 // Matches returns the streaming filter step as an iterator, for

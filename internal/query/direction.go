@@ -31,7 +31,7 @@ func (p *Processor) QueryDirectionCtx(ctx context.Context, rel direction.Relatio
 	if p.NonCrisp {
 		cands = mbr.Expand2(cands)
 	}
-	matches, stats, err := p.filter(ctx, cands, refMBR)
+	matches, stats, err := p.filter(ctx, newFilterPlan(cands), refMBR)
 	if err != nil {
 		return Result{}, err
 	}

@@ -38,7 +38,7 @@ func (p *Processor) QueryLineCtx(ctx context.Context, rel geom.LineRegionRelatio
 		cands = mbr.Expand2(cands)
 	}
 	refMBR := ref.Bounds()
-	matches, stats, err := p.filter(ctx, cands, refMBR)
+	matches, stats, err := p.filter(ctx, newFilterPlan(cands), refMBR)
 	if err != nil {
 		return Result{}, err
 	}

@@ -235,10 +235,9 @@ func (p *Processor) querySetMBR(ctx context.Context, rels topo.Set, refMBR geom.
 		return Result{}, fmt.Errorf("query: degenerate reference MBR %v", refMBR)
 	}
 	// Step 1: admissible MBR configurations (Table 1, adjusted for the
-	// non-contiguous and non-crisp modes).
-	cands := p.candidateConfigs(rels)
-	// Steps 2+3: prune and collect.
-	matches, stats, err := p.filter(ctx, cands, refMBR)
+	// non-contiguous and non-crisp modes), memoised per relation set
+	// with their Table 2 propagation. Steps 2+3: prune and collect.
+	matches, stats, err := p.filter(ctx, p.planFor(rels), refMBR)
 	if err != nil {
 		return Result{}, err
 	}
@@ -252,55 +251,39 @@ func (p *Processor) querySetMBR(ctx context.Context, rels topo.Set, refMBR geom.
 	return Result{Matches: matches, Stats: stats}, nil
 }
 
-// filterPreds derives the node and leaf predicates of steps 2 and 3.
-// Both run the per-axis domination pre-test (mbr.DominationFor) ahead
-// of the exact configuration probe: four sign comparisons reject most
-// non-qualifying rectangles without paying the two interval decision
-// trees, and the pre-test is provably sound (it never rejects a
-// rectangle the exact test accepts). The R+ partition-region path
-// keeps its dedicated predicate: partition regions are not tight
-// MBRs, so endpoint-sign reasoning does not apply to them.
-func (p *Processor) filterPreds(cands mbr.ConfigSet, refMBR geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
+// filterPreds binds a plan's predicates of steps 2 and 3 to the
+// reference MBR. Both run the per-axis domination pre-test
+// (mbr.DominationFor) ahead of the exact configuration probe: four
+// sign comparisons reject most non-qualifying rectangles without
+// paying the two interval decision trees, and the pre-test is provably
+// sound (it never rejects a rectangle the exact test accepts). The R+
+// partition-region path keeps its dedicated predicate: partition
+// regions are not tight MBRs, so endpoint-sign reasoning does not
+// apply to them.
+func (p *Processor) filterPreds(pl *filterPlan, refMBR geom.Rect) (nodePred, leafPred func(geom.Rect) bool) {
 	if p.Idx.CoveringNodeRects() {
-		prop := mbr.Propagation(cands)
-		dom := mbr.DominationFor(prop)
 		nodePred = func(r geom.Rect) bool {
-			return dom.Admits(r, refMBR) && prop.Has(mbr.ConfigOf(r, refMBR))
+			return pl.nodeDom.Admits(r, refMBR) && pl.prop.Has(mbr.ConfigOf(r, refMBR))
 		}
 	} else {
-		nodePred = mbr.PartitionNodePredicate(cands, refMBR)
+		nodePred = mbr.PartitionNodePredicate(pl.cands, refMBR)
 	}
-	leafDom := mbr.DominationFor(cands)
 	leafPred = func(r geom.Rect) bool {
-		return leafDom.Admits(r, refMBR) && cands.Has(mbr.ConfigOf(r, refMBR))
+		return pl.leafDom.Admits(r, refMBR) && pl.cands.Has(mbr.ConfigOf(r, refMBR))
 	}
 	return nodePred, leafPred
 }
 
-// filter is the tree traversal of steps 2 and 3. NodeAccesses comes
-// from the traversal's own accounting, so it is exact even when many
-// queries share the index.
-func (p *Processor) filter(ctx context.Context, cands mbr.ConfigSet, refMBR geom.Rect) ([]Match, Stats, error) {
-	nodePred, leafPred := p.filterPreds(cands, refMBR)
-	// A broad query (disjoint) touches nearly every stored object:
-	// size the dedup set and the matches slice for the worst case once
-	// instead of rehashing and regrowing on the way there.
-	n := p.Idx.Len()
-	seen := make(map[uint64]struct{}, n)
-	matches := make([]Match, 0, n)
-	ts, err := p.Idx.SearchCtx(ctx, nodePred, leafPred, func(r geom.Rect, oid uint64) bool {
-		if _, ok := seen[oid]; !ok {
-			seen[oid] = struct{}{}
-			matches = append(matches, Match{OID: oid, Rect: r})
-		}
+// filter is the collecting face of steps 2 and 3: every candidate the
+// streaming traversal delivers, sorted by OID.
+func (p *Processor) filter(ctx context.Context, pl *filterPlan, refMBR geom.Rect) ([]Match, Stats, error) {
+	var matches []Match
+	stats, err := p.streamConfigs(ctx, pl, refMBR, 0, func(m Match) bool {
+		matches = append(matches, m)
 		return true
 	})
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("query: filter step: %w", err)
-	}
-	stats := Stats{
-		NodeAccesses: ts.NodeAccesses,
-		Candidates:   len(matches),
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].OID < matches[j].OID })
 	return matches, stats, nil

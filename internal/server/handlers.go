@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,8 +38,10 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 // ndjsonHeaders sets the headers every NDJSON stream shares —
 // Content-Type plus Cache-Control: no-cache so intermediaries pass
 // lines through instead of buffering them — and returns the writer's
-// flusher (nil when the writer cannot flush). Streaming handlers flush
-// after every line for the same reason.
+// flusher (nil when the writer cannot flush). Watch and replication
+// streams flush after every event, because their latency is the
+// point; query and join answers leave in chunkSize pieces with one
+// flush at the end of the stream (lineWriter).
 func ndjsonHeaders(w http.ResponseWriter) http.Flusher {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -149,27 +150,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	flusher := ndjsonHeaders(w)
-	// With caching on, match lines are teed into a buffer as they are
-	// rendered, so a hit later replays the exact bytes with one write.
-	var buf bytes.Buffer
-	var out io.Writer = w
-	if s.cache != nil {
-		out = io.MultiWriter(w, &buf)
-	}
-	enc := json.NewEncoder(out)
-	var writeErr error
+	// Match lines are rendered into one slice and written in chunks.
+	// With caching on, the slice keeps every line as the tee, so a hit
+	// later replays the exact bytes with one write.
+	out := newLineWriter(w, s.cache != nil)
+	defer out.release()
+	var writeErr, encErr error
 	nmatch := 0
 	yield := func(m query.Match) bool {
-		nmatch++
-		oid, rect := m.OID, RectToWire(m.Rect)
-		if writeErr = enc.Encode(QueryLine{OID: &oid, Rect: &rect}); writeErr != nil {
+		if encErr = out.appendMatch(m.OID, m.Rect); encErr != nil {
 			return false
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if nmatch++; nmatch > maxCachedMatches {
+			// Too broad to cache: stop retaining written chunks.
+			out.keep = false
 		}
-		return true
+		writeErr = out.spill()
+		return writeErr == nil
 	}
 	proc := inst.ReadProc()
 	var stats query.Stats
@@ -181,26 +178,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldQuery(stats)
+	if writeErr == nil {
+		// Every rendered match leaves before the stream's last line.
+		writeErr = out.flush()
+	}
 	if writeErr != nil || ctx.Err() != nil {
 		// The client is gone (or the deadline fired mid-stream); there
 		// is no one left to send a stats line to.
 		s.metrics.disconnects.Add(1)
 		return
 	}
+	if err == nil {
+		// A match encoding/json would refuse (a non-finite coordinate)
+		// ends the stream like a traversal failure.
+		err = encErr
+	}
+	enc := json.NewEncoder(out)
 	if err != nil {
 		s.noteCorrupt(inst, err)
 		_ = enc.Encode(QueryLine{Error: err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		_ = out.flush()
 		return
 	}
-	if s.cache != nil {
+	if out.keep {
 		// Only a cleanly completed answer is stored — a truncated or
 		// failed stream must never be replayed as the full result. The
-		// buffer holds exactly the match lines at this point (the stats
+		// slice holds exactly the match lines at this point (the stats
 		// line is rendered below, after the copy).
-		lines := append([]byte(nil), buf.Bytes()...)
+		lines := append([]byte(nil), out.buf...)
 		s.cache.put(ckey, &cachedResult{lines: lines, nmatch: nmatch, stats: stats})
 	}
 	ws := StatsToWire(stats)
@@ -208,9 +213,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ws.Explain = explainFor(inst, stats, rels, ref, conj)
 	}
 	_ = enc.Encode(QueryLine{Stats: &ws})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	_ = out.flush()
 }
 
 // writeCachedQuery replays a cached answer: the same match lines in
@@ -224,11 +227,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 			s.metrics.disconnects.Add(1)
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
-	enc := json.NewEncoder(w)
 	ws := StatsToWire(res.stats)
 	if req.Explain {
 		ws.Explain = "cache=hit"
@@ -236,7 +235,7 @@ func (s *Server) writeCachedQuery(w http.ResponseWriter, req QueryRequest, res *
 			ws.Explain += " " + res.stats.Explain
 		}
 	}
-	_ = enc.Encode(QueryLine{Stats: &ws})
+	_ = json.NewEncoder(w).Encode(QueryLine{Stats: &ws})
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -299,23 +298,24 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.metrics.joinInFlight.Add(1)
 	defer s.metrics.joinInFlight.Add(-1)
 
-	flusher := ndjsonHeaders(w)
-	enc := json.NewEncoder(w)
+	out := newLineWriter(w, false)
+	defer out.release()
 	start := time.Now()
 	pairs := 0
-	var writeErr error
+	var writeErr, encErr error
 	opts := query.JoinOptions{
 		NonContiguous: req.NonContiguous,
 		KeepSelfPairs: req.KeepSelfPairs,
 	}
 	stats, err := query.JoinStream(ctx, lidx, ridx, rels, opts, func(p query.JoinPair) bool {
-		lo, ro := p.LeftOID, p.RightOID
-		lr, rr := RectToWire(p.LeftRect), RectToWire(p.RightRect)
-		if writeErr = enc.Encode(JoinLine{LeftOID: &lo, RightOID: &ro, LeftRect: &lr, RightRect: &rr}); writeErr != nil {
+		if s.joinPairHook != nil {
+			s.joinPairHook(ctx)
+		}
+		if encErr = out.appendPair(p.LeftOID, p.RightOID, p.LeftRect, p.RightRect); encErr != nil {
 			return false
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if writeErr = out.spill(); writeErr != nil {
+			return false
 		}
 		pairs++
 		return req.Limit <= 0 || pairs < req.Limit
@@ -323,10 +323,17 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// Fold whatever the traversal read — completed, cancelled, or
 	// failed — so /metrics always equals the sum of per-request stats.
 	s.metrics.FoldJoin(pairs, stats, time.Since(start))
+	if writeErr == nil {
+		writeErr = out.flush()
+	}
 	if writeErr != nil || ctx.Err() != nil {
 		s.metrics.disconnects.Add(1)
 		return
 	}
+	if err == nil {
+		err = encErr
+	}
+	enc := json.NewEncoder(out)
 	if err != nil {
 		if errors.Is(err, pagefile.ErrCorrupt) {
 			// A corrupt page read mid-join cannot be attributed to one
@@ -337,16 +344,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			ri.MarkUnhealthy(reason)
 		}
 		_ = enc.Encode(JoinLine{Error: err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		_ = out.flush()
 		return
 	}
 	ws := JoinWireStats{Pairs: pairs, NodeAccesses: stats.NodeAccesses}
 	_ = enc.Encode(JoinLine{Stats: &ws})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	_ = out.flush()
 }
 
 // handleKNN answers GET /v1/knn?index=name&k=5&x=10&y=20.

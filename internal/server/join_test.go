@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -261,9 +262,12 @@ func TestJoinBadRequests(t *testing.T) {
 	}
 }
 
-// TestJoinDeadline checks that a tiny request deadline truncates the
-// stream (no stats line), counts a disconnect, and folds only a
-// partial traversal into the metrics.
+// TestJoinDeadline checks that a request deadline firing mid-join
+// truncates the stream (no stats line), counts a disconnect, and folds
+// only a partial traversal into the metrics. The first pair callback
+// blocks until the deadline has fired, so the deadline always lands
+// after the join has read pages and before it has read them all,
+// however loaded the machine is.
 func TestJoinDeadline(t *testing.T) {
 	srv, ts := newJoinTestServer(t, Config{}, 6000, 6000)
 	li, ri := joinIdx(t, srv, "left"), joinIdx(t, srv, "right")
@@ -274,8 +278,12 @@ func TestJoinDeadline(t *testing.T) {
 	if full.Stats.NodeAccesses < 500 {
 		t.Fatalf("join too small to observe a deadline (full run reads %d pages)", full.Stats.NodeAccesses)
 	}
+	var first sync.Once
+	srv.joinPairHook = func(ctx context.Context) { first.Do(func() { <-ctx.Done() }) }
+	// The budget only has to outlast the join's walk to its first
+	// pair; the hook then holds the join until it expires.
 	status, _, stats, _ := postJoin(t, ts.URL, JoinRequest{
-		Left: "left", Right: "right", Relations: []string{"not_disjoint"}, TimeoutMS: 1,
+		Left: "left", Right: "right", Relations: []string{"not_disjoint"}, TimeoutMS: 500,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("HTTP %d, want 200 (deadline fires mid-stream)", status)

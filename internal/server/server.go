@@ -37,6 +37,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -370,6 +371,11 @@ type Server struct {
 	// follow is non-nil when the server runs as a read replica
 	// (Server.Follow); see follower.go.
 	follow *followState
+
+	// joinPairHook, when a test sets it before serving, runs in the
+	// /v1/join pair callback before each pair is rendered, with the
+	// request's context.
+	joinPairHook func(ctx context.Context)
 }
 
 // New creates a server with no indexes loaded.
